@@ -73,11 +73,12 @@ type Options struct {
 	// when those algorithms run would be unsafe — set it explicitly when
 	// your input has duplicates).
 	Simplify bool
-	// DisableBucketOrder forces SSSP's local scheduler back onto the binary
-	// heap even though the algorithm declares bucketed (delta-stepping)
-	// ordering. A benchmarking knob: results are identical either way, only
-	// the relaxation schedule differs. Applies to both classic traversals
-	// and an attached engine.
+	// DisableBucketOrder forces every bucketed kernel's local scheduler back
+	// onto the binary heap even though the algorithm declares bucketed
+	// ordering (delta-stepping SSSP; one constant bucket for k-core,
+	// PageRank and triangle counting). A benchmarking knob: results are
+	// identical either way, only the schedule differs. Applies to both
+	// classic traversals and an attached engine.
 	DisableBucketOrder bool
 }
 

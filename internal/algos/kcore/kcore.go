@@ -43,7 +43,7 @@ type KCore struct {
 	Core  []uint32 // remaining degree + 1, master rows only meaningful
 }
 
-var _ core.Algorithm[Visitor] = (*KCore)(nil)
+var _ core.BucketAlgorithm[Visitor] = (*KCore)(nil)
 
 // New initializes the state per Algorithm 5: alive, with core counters at
 // degree(v)+1 (global degree, which for partition-boundary vertices comes
@@ -95,6 +95,10 @@ func (a *KCore) Visit(v Visitor, q *core.Queue[Visitor]) {
 
 // Less: no visitor order required (Algorithm 4).
 func (a *KCore) Less(x, y Visitor) bool { return false }
+
+// Bucket puts every visitor in one bucket: with no order to keep, the queue
+// schedules on the calendar's O(1) stack instead of the binary heap.
+func (a *KCore) Bucket(Visitor) uint64 { return 0 }
 
 // Encode appends the 8-byte wire form.
 func (a *KCore) Encode(v Visitor, buf []byte) []byte {

@@ -57,12 +57,17 @@ func checkKCore(t *testing.T, edges []graph.Edge, n uint64, k uint32, got []bool
 
 func defaultCfg(part *partition.Part) core.Config { return core.Config{} }
 
+// heapCfg forces the binary-heap scheduler in place of the bucket calendar.
+func heapCfg(part *partition.Part) core.Config { return core.Config{DisableBucketOrder: true} }
+
 func TestKCoreMatchesReference(t *testing.T) {
 	edges := simpleUndirected(64, 300, 1)
 	for _, k := range []uint32{1, 2, 3, 4, 8} {
 		for _, p := range []int{1, 2, 4, 8} {
-			got := runDistributedKCore(t, edges, 64, p, k, partition.BuildEdgeList, defaultCfg)
-			checkKCore(t, edges, 64, k, got)
+			for _, mk := range []func(*partition.Part) core.Config{defaultCfg, heapCfg} {
+				got := runDistributedKCore(t, edges, 64, p, k, partition.BuildEdgeList, mk)
+				checkKCore(t, edges, 64, k, got)
+			}
 		}
 	}
 }

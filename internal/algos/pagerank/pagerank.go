@@ -79,7 +79,7 @@ type PR struct {
 	dropped         uint64 // contributions outside the two-bucket window
 }
 
-var _ core.Algorithm[Visitor] = (*PR)(nil)
+var _ core.BucketAlgorithm[Visitor] = (*PR)(nil)
 
 // New initializes PageRank state: every vertex at rank 1/n.
 func New(part *partition.Part, iters uint32) *PR {
@@ -187,6 +187,10 @@ func (p *PR) Visit(v Visitor, q *core.Queue[Visitor]) {
 
 // Less: no ordering requirement; completion is counted, not scheduled.
 func (p *PR) Less(a, b Visitor) bool { return false }
+
+// Bucket puts every visitor in one bucket: with no order to keep, the queue
+// schedules on the calendar's O(1) stack instead of the binary heap.
+func (p *PR) Bucket(Visitor) uint64 { return 0 }
 
 // Encode appends the 21-byte wire form.
 func (p *PR) Encode(v Visitor, buf []byte) []byte {

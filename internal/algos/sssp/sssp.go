@@ -159,7 +159,7 @@ func (s *SSSP) Less(a, b Visitor) bool { return a.Dist < b.Dist }
 // Bucket implements core.BucketAlgorithm: delta-stepping's bucket index.
 // Draining in ⌊Dist/Delta⌋ order is enough for the label-correcting
 // relaxation to converge with near-Dijkstra work, and lets the queue use a
-// calendar of FIFO buckets (O(1) push/pop) instead of the binary heap.
+// calendar of buckets (O(1) push/pop) instead of the binary heap.
 func (s *SSSP) Bucket(v Visitor) uint64 { return v.Dist / Delta }
 
 // Encode appends the 24-byte wire form. Distances stay well below 2^40 at

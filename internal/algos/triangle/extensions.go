@@ -38,11 +38,13 @@ func (o Options) sampleWedge(a, m, w graph.Vertex) bool {
 }
 
 // optTriangle wraps the exact algorithm with subset and sampling hooks. It
-// reuses the base codec and priority (none).
+// reuses the base codec, priority (none) and single bucket.
 type optTriangle struct {
 	*Triangle
 	opts Options
 }
+
+var _ core.BucketAlgorithm[Visitor] = (*optTriangle)(nil)
 
 func (t *optTriangle) member(v graph.Vertex) bool {
 	return t.opts.Subset == nil || t.opts.Subset(v)

@@ -41,6 +41,9 @@ func countDistributed(t *testing.T, edges []graph.Edge, n uint64, p int,
 
 func defaultCfg(part *partition.Part) core.Config { return core.Config{} }
 
+// heapCfg forces the binary-heap scheduler in place of the bucket calendar.
+func heapCfg(part *partition.Part) core.Config { return core.Config{DisableBucketOrder: true} }
+
 func TestKnownSmallGraphs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -70,8 +73,10 @@ func TestMatchesReferenceRandom(t *testing.T) {
 		edges := simpleUndirected(48, 300, seed)
 		want := ref.CountTriangles(ref.BuildAdj(edges, 48))
 		for _, p := range []int{1, 3, 6} {
-			if got := countDistributed(t, edges, 48, p, partition.BuildEdgeList, defaultCfg); got != want {
-				t.Fatalf("seed=%d p=%d: %d triangles, want %d", seed, p, got, want)
+			for _, mk := range []func(*partition.Part) core.Config{defaultCfg, heapCfg} {
+				if got := countDistributed(t, edges, 48, p, partition.BuildEdgeList, mk); got != want {
+					t.Fatalf("seed=%d p=%d: %d triangles, want %d", seed, p, got, want)
+				}
 			}
 		}
 	}

@@ -47,16 +47,18 @@ type Algorithm[V Visitor] interface {
 }
 
 // BucketAlgorithm is implemented by algorithms whose visitor ordering is a
-// coarse monotone priority — delta-stepping SSSP being the canonical case.
-// When an algorithm implements it, the queue replaces the binary-heap local
-// scheduler with a calendar of FIFO buckets drained in bucket order: push and
-// pop become O(1) amortized (the residual heap orders bucket indices, of
-// which there are ~MaxPriority/Δ, not visitors), and visitors within one
-// bucket execute in arrival order, preserving page-level locality of the
-// mailbox's aggregated batches. Correctness only needs Bucket to be
-// consistent with Less (a Less b ⇒ Bucket(a) <= Bucket(b)): label-correcting
-// kernels converge to the same fixpoint under any drain order, bucket order
-// merely keeps the work near-optimal.
+// coarse monotone priority — delta-stepping SSSP being the canonical case —
+// or that need no order at all. When an algorithm implements it, the queue
+// replaces the binary-heap local scheduler with a calendar of buckets drained
+// in ascending bucket order and LIFO within a bucket: push and pop become
+// O(1) (the residual heap orders bucket indices, of which there are
+// ~MaxPriority/Δ, not visitors). The heap's vertex-identifier tie-break for
+// page locality (§V-A) does not apply on the calendar. Algorithms whose Less
+// is always false (k-core, PageRank, triangle counting) return one constant
+// bucket, which makes the calendar a plain stack. Correctness only needs
+// Bucket to be consistent with Less (a Less b ⇒ Bucket(a) <= Bucket(b)):
+// these kernels reach the same fixpoint under any drain order, bucket order
+// merely keeps delta-stepping's work near-optimal.
 type BucketAlgorithm[V Visitor] interface {
 	Algorithm[V]
 	// Bucket returns the visitor's scheduling bucket (e.g. ⌊Dist/Δ⌋).

@@ -52,8 +52,9 @@ type Config struct {
 	// set DisableLocalityOrder to ablate.
 	DisableLocalityOrder bool
 	// DisableBucketOrder forces the binary-heap local scheduler even when the
-	// algorithm implements BucketAlgorithm — the single-priority-queue
-	// baseline for delta-stepping ablations (bench-algos "before" numbers).
+	// algorithm implements BucketAlgorithm, for every bucketed kernel — the
+	// single-priority-queue baseline for delta-stepping ablations
+	// (bench-algos "before" numbers).
 	DisableBucketOrder bool
 	// Reliable runs the mailbox's seq/ack/retransmit protocol under every
 	// envelope (mailbox.WithReliable), surviving message drop, duplication,
@@ -378,10 +379,10 @@ func (q *Queue[V]) Unpark(pages []int64) bool {
 // quiescence with traversal still to do.
 func (q *Queue[V]) LocalIdle() bool { return q.schedLen() == 0 && q.nParked == 0 }
 
-// Cancel marks the queue cancelled on this rank: the local visitor heap is
-// discarded and subsequent deliveries are drained without being applied.
-// Termination detection still runs to quiescence so the query's tagged
-// records fully drain from the message plane before the ID is retired.
+// Cancel marks the queue cancelled on this rank: the local visitor heap or
+// calendar is discarded and subsequent deliveries are drained without being
+// applied. Termination detection still runs to quiescence so the query's
+// tagged records fully drain from the message plane before the ID is retired.
 func (q *Queue[V]) Cancel() {
 	q.cancelled = true
 	var zero V
@@ -478,7 +479,8 @@ func (q *Queue[V]) Run() {
 func (q *Queue[V]) Stats() Stats { return q.stats }
 
 // --- local scheduler dispatch: calendar of buckets when the algorithm
-// implements BucketAlgorithm (delta-stepping), binary min-heap otherwise.
+// implements BucketAlgorithm (delta-stepping SSSP, and the order-free
+// kernels with one constant bucket), binary min-heap otherwise.
 
 func (q *Queue[V]) schedPush(v V) {
 	if q.cal != nil {
@@ -502,72 +504,165 @@ func (q *Queue[V]) schedLen() int {
 	return len(q.heap)
 }
 
-// calendar is the delta-stepping bucket scheduler: visitors land in FIFO
-// buckets keyed by BucketAlgorithm.Bucket, drained in ascending bucket order.
-// Push and pop are O(1) amortized — the small residual heap in order sorts
-// bucket indices (hundreds at most for SSSP's ⌊Dist/Δ⌋), not visitors
-// (thousands to millions). Empty buckets keep their allocated backing arrays
-// in a free list, so steady-state operation allocates nothing.
+const (
+	// chunkLen is the visitor capacity of a full calendar chunk. A bucket's
+	// first chunk grows by append up to chunkLen; every later chunk is
+	// allocated (or recycled) at exactly this size.
+	chunkLen = 4096
+	// maxFreeChunks bounds the spent full-size chunks a calendar keeps for
+	// reuse. Chunks beyond it go to the garbage collector, so a drained
+	// multi-million-visitor backlog does not stay resident.
+	maxFreeChunks = 64
+)
+
+// calendar is the bucket scheduler: visitors land in buckets keyed by
+// BucketAlgorithm.Bucket and drain in ascending bucket order, LIFO within a
+// bucket. Each bucket is a stack of chunks: only the top chunk is partly
+// filled, so push and pop are O(1) with no copying as a bucket grows. The
+// small residual heap in order sorts buckets (hundreds at most for SSSP's
+// ⌊Dist/Δ⌋, one for the order-free kernels), not visitors (millions).
+// Emptied buckets keep their first chunk and are recycled whole, and spent
+// full chunks go to a bounded free list, so steady-state operation
+// allocates nothing.
 type calendar[V Visitor] struct {
 	algo    BucketAlgorithm[V]
-	buckets map[uint64][]V
-	order   []uint64 // min-heap of bucket indices present in buckets
-	free    [][]V    // spent bucket backing arrays for reuse
+	buckets map[uint64]*bucket[V]
+	order   []*bucket[V] // min-heap by idx of the buckets present
+	last    *bucket[V]   // bucket of the previous push (nil after retire)
+	spare   []*bucket[V] // emptied buckets for reuse
+	free    [][]V        // spent full-size chunks, at most maxFreeChunks
 	n       int
 }
 
+// bucket is one calendar bucket: a stack of chunks whose top is
+// chunks[len(chunks)-1]. Every chunk below the top holds exactly chunkLen
+// visitors, and chunks[0] is never released while the bucket lives.
+type bucket[V Visitor] struct {
+	idx    uint64
+	chunks [][]V
+}
+
 func newCalendar[V Visitor](algo BucketAlgorithm[V]) *calendar[V] {
-	return &calendar[V]{algo: algo, buckets: make(map[uint64][]V)}
+	return &calendar[V]{algo: algo, buckets: make(map[uint64]*bucket[V])}
 }
 
 func (c *calendar[V]) push(v V) {
 	b := c.algo.Bucket(v)
-	s, ok := c.buckets[b]
-	if !ok {
-		if f := len(c.free); f > 0 {
-			s = c.free[f-1][:0]
-			c.free = c.free[:f-1]
+	bk := c.last
+	if bk == nil || bk.idx != b {
+		bk = c.buckets[b]
+		if bk == nil {
+			bk = c.open(b)
 		}
-		c.orderPush(b)
+		c.last = bk
 	}
-	c.buckets[b] = append(s, v)
+	t := len(bk.chunks) - 1
+	if len(bk.chunks[t]) == chunkLen {
+		bk.chunks = append(bk.chunks, c.chunk())
+		t++
+	}
+	bk.chunks[t] = append(bk.chunks[t], v)
 	c.n++
 }
 
 // pop returns a visitor from the lowest-indexed non-empty bucket. Within a
 // bucket the drain is LIFO — bucket membership already bounds the priority
-// spread to Δ, and the label-correcting kernels this serves converge under
-// any within-bucket order; LIFO keeps the pop at a slice truncation.
+// spread to Δ (SSSP) or carries no order at all (one constant bucket), and
+// the kernels this serves converge under any within-bucket order; LIFO keeps
+// the pop at a slice truncation and the hot end of the stack in cache.
 func (c *calendar[V]) pop() V {
-	b := c.order[0]
-	s := c.buckets[b]
+	bk := c.order[0]
+	t := len(bk.chunks) - 1
+	s := bk.chunks[t]
 	last := len(s) - 1
 	v := s[last]
 	var zero V
 	s[last] = zero
+	bk.chunks[t] = s[:last]
 	if last == 0 {
-		delete(c.buckets, b)
-		c.orderPop()
-		c.free = append(c.free, s[:0])
-	} else {
-		c.buckets[b] = s[:last]
+		if t > 0 {
+			c.release(s[:0])
+			bk.chunks[t] = nil
+			bk.chunks = bk.chunks[:t]
+		} else {
+			c.retire(bk)
+		}
 	}
 	c.n--
 	return v
 }
 
+// open makes b a present bucket, reusing a spare one when available.
+func (c *calendar[V]) open(b uint64) *bucket[V] {
+	var bk *bucket[V]
+	if f := len(c.spare); f > 0 {
+		bk = c.spare[f-1]
+		c.spare[f-1] = nil
+		c.spare = c.spare[:f-1]
+	} else {
+		bk = &bucket[V]{chunks: make([][]V, 1)}
+	}
+	bk.idx = b
+	c.buckets[b] = bk
+	c.orderPush(bk)
+	return bk
+}
+
+// retire removes the (empty, lowest) bucket bk and keeps it as a spare.
+func (c *calendar[V]) retire(bk *bucket[V]) {
+	delete(c.buckets, bk.idx)
+	c.orderPop()
+	if c.last == bk {
+		c.last = nil
+	}
+	c.spare = append(c.spare, bk)
+}
+
+// chunk returns an empty full-size chunk.
+func (c *calendar[V]) chunk() []V {
+	if f := len(c.free); f > 0 {
+		s := c.free[f-1]
+		c.free[f-1] = nil
+		c.free = c.free[:f-1]
+		return s
+	}
+	return make([]V, 0, chunkLen)
+}
+
+// release keeps an empty full-size chunk for reuse, up to maxFreeChunks.
+func (c *calendar[V]) release(s []V) {
+	if len(c.free) < maxFreeChunks {
+		c.free = append(c.free, s)
+	}
+}
+
+// clear drops every queued visitor, leaving the calendar empty and reusable.
 func (c *calendar[V]) clear() {
+	for _, bk := range c.order {
+		for i, s := range bk.chunks {
+			clear(s)
+			if i > 0 {
+				c.release(s[:0])
+				bk.chunks[i] = nil
+			}
+		}
+		bk.chunks[0] = bk.chunks[0][:0]
+		bk.chunks = bk.chunks[:1]
+		c.spare = append(c.spare, bk)
+	}
 	clear(c.buckets)
+	clear(c.order)
 	c.order = c.order[:0]
+	c.last = nil
 	c.n = 0
 }
 
-func (c *calendar[V]) orderPush(b uint64) {
-	c.order = append(c.order, b)
+func (c *calendar[V]) orderPush(bk *bucket[V]) {
+	c.order = append(c.order, bk)
 	i := len(c.order) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if c.order[i] >= c.order[p] {
+		if c.order[i].idx >= c.order[p].idx {
 			break
 		}
 		c.order[i], c.order[p] = c.order[p], c.order[i]
@@ -578,15 +673,16 @@ func (c *calendar[V]) orderPush(b uint64) {
 func (c *calendar[V]) orderPop() {
 	last := len(c.order) - 1
 	c.order[0] = c.order[last]
+	c.order[last] = nil
 	c.order = c.order[:last]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < last && c.order[l] < c.order[small] {
+		if l < last && c.order[l].idx < c.order[small].idx {
 			small = l
 		}
-		if r < last && c.order[r] < c.order[small] {
+		if r < last && c.order[r].idx < c.order[small].idx {
 			small = r
 		}
 		if small == i {

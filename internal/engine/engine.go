@@ -203,8 +203,8 @@ type Options struct {
 	// RTOBase/RTOMax bound the reliable layer's retransmission backoff
 	// (zero = mailbox defaults). Only meaningful with Reliable.
 	RTOBase, RTOMax time.Duration
-	// DisableBucketOrder forces SSSP runners onto the binary-heap local
-	// scheduler instead of the bucketed delta-stepping calendar (a
+	// DisableBucketOrder forces every bucketed kernel's runners onto the
+	// binary-heap local scheduler instead of the bucket calendar (a
 	// benchmarking knob; results are identical either way).
 	DisableBucketOrder bool
 }

@@ -21,33 +21,31 @@ import (
 	"havoqgt/internal/termination"
 )
 
-// newRunner dispatches on the query's algorithm.
+// newRunner dispatches on the query's algorithm. Every queue-driven runner
+// starts from the same base config — the rank's out-of-core pager and the
+// scheduler knob, so DisableBucketOrder means what it means on the classic
+// path — and the algorithms that declare ghost usage add the hub table.
 func newRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pager core.RowPager,
 	box *mailbox.Box, det *termination.Detector, q *query, opts Options) runner {
+	cfg := core.Config{Pager: pager, DisableBucketOrder: opts.DisableBucketOrder}
 	switch q.spec.Algo {
 	case AlgoBFS:
-		return newBFSRunner(r, part, ghosts, pager, box, det, q)
+		return newBFSRunner(r, part, ghosts, cfg, box, det, q)
 	case AlgoSSSP:
-		return newSSSPRunner(r, part, ghosts, pager, box, det, q, opts.DisableBucketOrder)
+		return newSSSPRunner(r, part, ghosts, cfg, box, det, q)
 	case AlgoCC:
-		return newCCRunner(r, part, ghosts, pager, box, det, q)
+		return newCCRunner(r, part, ghosts, cfg, box, det, q)
 	case AlgoKCore:
-		return newKCoreRunner(r, part, pager, box, det, q)
+		return newKCoreRunner(r, part, cfg, box, det, q)
 	case AlgoBFSDO:
 		return newDOBFSRunner(part, pager, box, det, q)
 	case AlgoPageRank:
-		return newPageRankRunner(r, part, pager, box, det, q)
+		return newPageRankRunner(r, part, cfg, box, det, q)
 	case AlgoTriangles:
-		return newTriangleRunner(r, part, pager, box, det, q)
+		return newTriangleRunner(r, part, cfg, box, det, q)
 	default:
 		panic("engine: unknown algorithm past Submit validation")
 	}
-}
-
-// ghostCfg assembles a shared-queue config with hub filtering for the
-// algorithms that declare ghost usage, plus the rank's out-of-core pager.
-func ghostCfg(ghosts *core.GhostTable, pager core.RowPager) core.Config {
-	return core.Config{Ghosts: ghosts, Pager: pager}
 }
 
 // gatherInto copies a per-vertex value from this rank's masters into the
@@ -71,10 +69,10 @@ type bfsRunner struct {
 	q    *query
 }
 
-func newBFSRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pager core.RowPager,
+func newBFSRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, cfg core.Config,
 	box *mailbox.Box, det *termination.Detector, q *query) runner {
 	st := bfs.New(part)
-	cfg := ghostCfg(ghosts, pager)
+	cfg.Ghosts = ghosts
 	if ghosts != nil {
 		st.AttachGhosts(ghosts)
 	}
@@ -119,11 +117,10 @@ type ssspRunner struct {
 	q    *query
 }
 
-func newSSSPRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pager core.RowPager,
-	box *mailbox.Box, det *termination.Detector, q *query, disableBucketOrder bool) runner {
+func newSSSPRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, cfg core.Config,
+	box *mailbox.Box, det *termination.Detector, q *query) runner {
 	st := sssp.New(part, q.spec.WeightSeed)
-	cfg := ghostCfg(ghosts, pager)
-	cfg.DisableBucketOrder = disableBucketOrder
+	cfg.Ghosts = ghosts
 	if ghosts != nil {
 		st.AttachGhosts(ghosts)
 	}
@@ -162,10 +159,10 @@ type ccRunner struct {
 	q    *query
 }
 
-func newCCRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, pager core.RowPager,
+func newCCRunner(r *rt.Rank, part *partition.Part, ghosts *core.GhostTable, cfg core.Config,
 	box *mailbox.Box, det *termination.Detector, q *query) runner {
 	st := cc.New(part)
-	cfg := ghostCfg(ghosts, pager)
+	cfg.Ghosts = ghosts
 	if ghosts != nil {
 		st.AttachGhosts(ghosts)
 	}
@@ -208,11 +205,11 @@ type kcoreRunner struct {
 	q    *query
 }
 
-func newKCoreRunner(r *rt.Rank, part *partition.Part, pager core.RowPager,
+func newKCoreRunner(r *rt.Rank, part *partition.Part, cfg core.Config,
 	box *mailbox.Box, det *termination.Detector, q *query) runner {
 	st := kcore.New(part, q.spec.K)
 	// K-core needs precise removal counts, so no ghost filtering (§IV-B).
-	qu := core.NewQueueShared[kcore.Visitor](r, part, st, core.Config{Pager: pager}, box, det, q.id)
+	qu := core.NewQueueShared[kcore.Visitor](r, part, st, cfg, box, det, q.id)
 	lo, hi := part.Owners.MasterRange(part.Rank)
 	for v := lo; v < hi; v++ {
 		qu.Push(kcore.Visitor{V: graph.Vertex(v)})
@@ -308,12 +305,12 @@ type pagerankRunner struct {
 	q    *query
 }
 
-func newPageRankRunner(r *rt.Rank, part *partition.Part, pager core.RowPager,
+func newPageRankRunner(r *rt.Rank, part *partition.Part, cfg core.Config,
 	box *mailbox.Box, det *termination.Detector, q *query) runner {
 	st := pagerank.New(part, q.spec.Iters)
 	// Counted completion needs every contribution delivered: no ghost
 	// filtering (the algorithm declares no ghost hook anyway).
-	qu := core.NewQueueShared[pagerank.Visitor](r, part, st, core.Config{Pager: pager}, box, det, q.id)
+	qu := core.NewQueueShared[pagerank.Visitor](r, part, st, cfg, box, det, q.id)
 	st.Seed(qu)
 	return &pagerankRunner{Queue: qu, st: st, part: part, q: q}
 }
@@ -331,11 +328,11 @@ type triangleRunner struct {
 	q    *query
 }
 
-func newTriangleRunner(r *rt.Rank, part *partition.Part, pager core.RowPager,
+func newTriangleRunner(r *rt.Rank, part *partition.Part, cfg core.Config,
 	box *mailbox.Box, det *termination.Detector, q *query) runner {
 	st := triangle.New(part)
 	// Triangle counting needs precise adjacency membership: no ghosts (§VI-C).
-	qu := core.NewQueueShared[triangle.Visitor](r, part, st, core.Config{Pager: pager}, box, det, q.id)
+	qu := core.NewQueueShared[triangle.Visitor](r, part, st, cfg, box, det, q.id)
 	lo, hi := part.Owners.MasterRange(part.Rank)
 	for v := lo; v < hi; v++ {
 		qu.Push(triangle.Visitor{V: graph.Vertex(v), Second: graph.Nil, Third: graph.Nil})
