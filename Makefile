@@ -77,13 +77,15 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Allocation-budget smoke (BENCH_msgplane.json, DESIGN.md §9): the
-# TestAllocBudget* suite pins the message-plane hot paths to their
-# steady-state allocation budgets (loopback and decode/deliver at ~0
-# allocs/cycle, routed duplex well under the pre-pooling floor), and the
-# percentile tests pin the nearest-rank quantile fix. Fast enough to run
-# on every push; a regression here means pooling or arena delivery broke.
+# TestAllocBudget* suites pin the visitor hot paths to their steady-state
+# allocation budgets — in the mailbox, loopback and decode/deliver at ~0
+# allocs/cycle and the routed duplex well under the pre-pooling floor; in
+# the visitor queue, the bucket calendar and the local-push fast path at ~0
+# — and the percentile tests pin the nearest-rank quantile fix. Fast enough
+# to run on every push; a regression here means pooling, in-place delivery,
+# the calendar or the local fast path started allocating.
 bench-smoke:
-	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/mailbox
+	$(GO) test -count=1 -run 'TestAllocBudget' -v ./internal/mailbox ./internal/core
 	$(GO) test -count=1 -run 'TestPercentile' ./cmd/havoqd
 
 # Out-of-core serving smoke (BENCH_ooc_smoke.json, DESIGN.md §11): the

@@ -286,7 +286,7 @@ func BenchmarkMailboxAggregation(b *testing.B) {
 			det := termination.New(r)
 			box := mailbox.New(r, mailbox.NewDirect(2), det)
 			for !det.Pump(box.Idle()) {
-				box.Poll()
+				box.Poll(func(mailbox.Record) {})
 			}
 			return
 		}
@@ -300,7 +300,7 @@ func BenchmarkMailboxAggregation(b *testing.B) {
 		b.StopTimer()
 		box.FlushAll()
 		for !det.Pump(box.Idle()) {
-			box.Poll()
+			box.Poll(func(mailbox.Record) {})
 		}
 	})
 }

@@ -509,13 +509,10 @@ func RunDO(r *rt.Rank, part *partition.Part, source graph.Vertex, cfg core.Confi
 	mb := mailbox.New(r, topo, det, opts...)
 	d := NewDO(part, source, func(dest int, payload []byte) { mb.SendTagged(dest, 0, payload) }, nil)
 	d.Start()
+	handle := func(rec mailbox.Record) { d.Handle(rec.Payload) }
 	idleSpins := 0
 	for {
-		progress := false
-		for _, rec := range mb.Poll() {
-			d.Handle(rec.Payload)
-			progress = true
-		}
+		progress := mb.Poll(handle) > 0
 		for d.TryAdvance() {
 			progress = true
 		}

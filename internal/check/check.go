@@ -169,12 +169,13 @@ func Traversal(topo mailbox.Topology, stats []core.Stats) []Violation {
 			vs.addf("queue-agreement", "rank %d: visitors received=%d != mailbox records delivered=%d",
 				r, s.Received, s.Mailbox.RecordsDelivered)
 		}
-		// Every visitor push either gets ghost-filtered or becomes a mailbox
-		// send; replica forwards send again. Anything else is a leak.
-		if want := s.Pushed - s.GhostFiltered + s.Forwarded; want != s.Mailbox.RecordsSent {
+		// Every visitor push either gets ghost-filtered, is applied in place
+		// (its master is this rank), or becomes a mailbox send; replica
+		// forwards send again. Anything else is a leak.
+		if want := s.Pushed - s.GhostFiltered - s.Local + s.Forwarded; want != s.Mailbox.RecordsSent {
 			vs.addf("push-accounting",
-				"rank %d: pushed(%d) − ghost-filtered(%d) + replica-forwarded(%d) = %d != mailbox records sent=%d",
-				r, s.Pushed, s.GhostFiltered, s.Forwarded, want, s.Mailbox.RecordsSent)
+				"rank %d: pushed(%d) − ghost-filtered(%d) − local(%d) + replica-forwarded(%d) = %d != mailbox records sent=%d",
+				r, s.Pushed, s.GhostFiltered, s.Local, s.Forwarded, want, s.Mailbox.RecordsSent)
 		}
 	}
 	if detS != detR {

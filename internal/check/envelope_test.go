@@ -9,8 +9,13 @@ import (
 )
 
 // pollHostile injects one raw envelope into rank 0's transport inbox and
-// polls a mailbox over a p-rank machine, returning the delivered records and
-// the box stats. Poll must never panic, whatever the envelope holds.
+// polls a mailbox over a p-rank machine, returning the delivered records
+// (payloads copied out of the handler, as the mailbox.Record contract
+// requires for anything kept) and the box stats. Poll must never panic,
+// whatever the envelope holds. The handler also scribbles over every payload
+// after copying it: decoding is in place, so a mutation must stay inside its
+// own record and never change what a later record of the envelope decodes
+// to.
 func pollHostile(p int, topo mailbox.Topology, payload []byte) (recs []mailbox.Record, st mailbox.Stats, reg *obs.Registry) {
 	m := rt.NewMachine(p)
 	reg = m.Obs()
@@ -18,9 +23,14 @@ func pollHostile(p int, topo mailbox.Topology, payload []byte) (recs []mailbox.R
 		if r.Rank() != 0 {
 			return
 		}
-		r.Send(0, rt.KindMailbox, 0, payload)
+		r.Send(0, rt.KindMailbox, 0, append([]byte(nil), payload...))
 		box := mailbox.New(r, topo, nil)
-		recs = box.Poll()
+		box.Poll(func(rec mailbox.Record) {
+			recs = append(recs, mailbox.Record{Tag: rec.Tag, Payload: append([]byte(nil), rec.Payload...)})
+			for i := range rec.Payload {
+				rec.Payload[i] = 0xFF
+			}
+		})
 		st = box.Stats()
 	})
 	return recs, st, reg

@@ -39,10 +39,10 @@ type Algorithm[V Visitor] interface {
 	// Encode appends v's wire form to buf and returns it.
 	Encode(v V, buf []byte) []byte
 	// Decode parses one visitor from buf (which holds exactly one record).
-	// Decode must NOT retain buf: the mailbox hands out arena sub-slices
-	// that are reclaimed at its next Poll (mailbox.Record), so the visitor
-	// must be reconstructed into value-typed fields (all in-tree algorithms
-	// decode into plain structs).
+	// Decode must NOT retain buf: the mailbox decodes envelopes in place and
+	// buf is valid only while the record is being delivered
+	// (mailbox.Record), so the visitor must be reconstructed into
+	// value-typed fields (all in-tree algorithms decode into plain structs).
 	Decode(buf []byte) V
 }
 

@@ -64,6 +64,45 @@ func TestGhostTableSelectsHighInDegreeRemotes(t *testing.T) {
 	}
 }
 
+// TestGhostTableLookupExact: the open-addressing index answers exactly like
+// the ghost list it was built from — every ghost at its own index, every
+// other vertex absent — for table sizes from one ghost to many (probe chains
+// and wraparound included).
+func TestGhostTableLookupExact(t *testing.T) {
+	const n = 1 << 12
+	for _, k := range []int{1, 2, 3, 7, 64, 300} {
+		// Rank 0 holds sources 0..15, each with an edge to every one of
+		// k·2 remote targets spread across rank 1's range, so every target
+		// is a candidate and the table fills to k.
+		var edges []graph.Edge
+		for src := uint64(0); src < 16; src++ {
+			for i := uint64(0); i < uint64(2*k); i++ {
+				edges = append(edges, graph.Edge{Src: graph.Vertex(src), Dst: graph.Vertex(n/2 + i*7%(n/2))})
+			}
+		}
+		edges = append(edges, graph.Edge{Src: n - 1, Dst: 0})
+		parts := buildParts(t, edges, n, 2)
+		gt := BuildGhostTable(parts[0], k)
+		if gt.Len() != k {
+			t.Fatalf("k=%d: table holds %d ghosts", k, gt.Len())
+		}
+		want := make(map[graph.Vertex]int, k)
+		for i, v := range gt.Vertices() {
+			want[v] = i
+		}
+		for v := graph.Vertex(0); v < n; v++ {
+			i, ok := gt.Lookup(v)
+			wi, wok := want[v]
+			if ok != wok || (ok && i != wi) {
+				t.Fatalf("k=%d: Lookup(%d) = (%d, %v), want (%d, %v)", k, v, i, ok, wi, wok)
+			}
+		}
+	}
+	if _, ok := BuildGhostTable(buildPart(t, []graph.Edge{{Src: 0, Dst: 1}}, 4), 8).Lookup(1); ok {
+		t.Fatal("empty table reported a ghost")
+	}
+}
+
 func TestGhostTableExcludesLocalAndRareTargets(t *testing.T) {
 	var edges []graph.Edge
 	n := uint64(32)
@@ -213,10 +252,15 @@ func TestQueueStatsConsistency(t *testing.T) {
 		q.Run()
 		stats = q.Stats()
 	})
-	if stats.Pushed != 10 || stats.Received != 10 || stats.Queued != 10 || stats.Executed != 10 {
+	// One rank masters every vertex: all ten pushes take the local fast path.
+	if stats.Pushed != 10 || stats.Local != 10 || stats.Received != 0 || stats.Queued != 10 || stats.Executed != 10 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if stats.Mailbox.RecordsSent != 10 || stats.Mailbox.RecordsDelivered != 10 {
+	if want := stats.Pushed - stats.GhostFiltered - stats.Local + stats.Forwarded; stats.Mailbox.RecordsSent != want {
+		t.Fatalf("push accounting: pushed − ghost-filtered − local + forwarded = %d, mailbox sent %d",
+			want, stats.Mailbox.RecordsSent)
+	}
+	if stats.Mailbox.RecordsSent != 0 || stats.Mailbox.RecordsDelivered != 0 {
 		t.Fatalf("mailbox stats = %+v", stats.Mailbox)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"havoqgt/internal/graph"
@@ -16,8 +17,15 @@ const DefaultGhostsPerPartition = 256
 // indices. Each partition identifies its ghosts locally, from its own edges'
 // targets — ghost information represents only the local partition's view of
 // remote hubs and is never globally synchronized (§IV-B).
+//
+// Lookup runs on every remote push, so the index is a power-of-two
+// open-addressing table with linear probing, at most half full: keys[i]
+// holds a ghosted vertex (graph.Nil marks an empty slot) and idx[i] its
+// ghost index.
 type GhostTable struct {
-	idx      map[graph.Vertex]int
+	keys     []graph.Vertex
+	idx      []int32
+	shift    uint // 64 − log2(len(keys)): Fibonacci hashing keeps the top bits
 	vertices []graph.Vertex
 }
 
@@ -27,7 +35,7 @@ type GhostTable struct {
 // the partition has multiple edges to the hub (the paper's degree(v) > p
 // observation).
 func BuildGhostTable(part *partition.Part, k int) *GhostTable {
-	t := &GhostTable{idx: make(map[graph.Vertex]int)}
+	t := &GhostTable{}
 	if k <= 0 {
 		return t
 	}
@@ -67,17 +75,55 @@ func BuildGhostTable(part *partition.Part, k int) *GhostTable {
 	if len(cands) > k {
 		cands = cands[:k]
 	}
-	for i, c := range cands {
-		t.idx[c.v] = i
+	for _, c := range cands {
 		t.vertices = append(t.vertices, c.v)
 	}
+	t.index()
 	return t
+}
+
+// index builds the open-addressing table over t.vertices.
+func (t *GhostTable) index() {
+	if len(t.vertices) == 0 {
+		return
+	}
+	lg := bits.Len(uint(2*len(t.vertices) - 1)) // 2^lg >= 2·len
+	t.shift = uint(64 - lg)
+	t.keys = make([]graph.Vertex, 1<<lg)
+	t.idx = make([]int32, 1<<lg)
+	for i := range t.keys {
+		t.keys[i] = graph.Nil
+	}
+	mask := len(t.keys) - 1
+	for gi, v := range t.vertices {
+		s := t.slot(v)
+		for t.keys[s] != graph.Nil {
+			s = (s + 1) & mask
+		}
+		t.keys[s] = v
+		t.idx[s] = int32(gi)
+	}
+}
+
+// slot is v's home slot.
+func (t *GhostTable) slot(v graph.Vertex) int {
+	return int((uint64(v) * 0x9e3779b97f4a7c15) >> t.shift)
 }
 
 // Lookup returns the ghost index of v, if v is ghosted on this rank.
 func (t *GhostTable) Lookup(v graph.Vertex) (int, bool) {
-	i, ok := t.idx[v]
-	return i, ok
+	if len(t.keys) == 0 {
+		return 0, false
+	}
+	mask := len(t.keys) - 1
+	for s := t.slot(v); ; s = (s + 1) & mask {
+		switch t.keys[s] {
+		case graph.Nil:
+			return 0, false
+		case v:
+			return int(t.idx[s]), true
+		}
+	}
 }
 
 // Len returns the number of ghosts in the table.

@@ -20,6 +20,7 @@ const visitBatch = 256
 type Stats struct {
 	Pushed        uint64 // visitors pushed on this rank
 	GhostFiltered uint64 // visitors suppressed by the local ghost filter
+	Local         uint64 // pushes to a vertex this rank masters (never mailed)
 	Received      uint64 // visitors delivered to this rank
 	Queued        uint64 // visitors whose PreVisit returned true
 	Executed      uint64 // visitors whose Visit ran
@@ -114,6 +115,7 @@ type queueMetrics struct {
 	rank          int
 	pushed        *obs.PerRank
 	ghostFiltered *obs.PerRank
+	local         *obs.PerRank
 	received      *obs.PerRank
 	queued        *obs.PerRank
 	executed      *obs.PerRank
@@ -129,6 +131,7 @@ func newQueueMetrics(r *rt.Rank) queueMetrics {
 		rank:          r.Rank(),
 		pushed:        reg.PerRank(obs.CorePushed, p),
 		ghostFiltered: reg.PerRank(obs.CoreGhostFiltered, p),
+		local:         reg.PerRank(obs.CoreLocal, p),
 		received:      reg.PerRank(obs.CoreReceived, p),
 		queued:        reg.PerRank(obs.CoreQueued, p),
 		executed:      reg.PerRank(obs.CoreExecuted, p),
@@ -232,15 +235,28 @@ func (q *Queue[V]) OutEdges(v graph.Vertex) []graph.Vertex {
 	return q.part.CSR.Row(q.LocalRow(v))
 }
 
-// Push inserts a visitor into the distributed queue (Algorithm 1, PUSH):
+// Push inserts a visitor into the distributed queue (Algorithm 1, PUSH).
+// A visitor whose master partition is this rank is accepted in place — no
+// encode, no mailbox, no decode, exactly what delivery would do with it a
+// poll later (HavoqGT pre-visits owned vertices the same way). It never
+// leaves the rank, so it never touches the termination detector's S/R
+// counters; a scheduled visitor keeps the rank non-idle instead. Otherwise
 // apply the local ghost filter if ghost information for the vertex is stored
-// locally, then transmit the visitor to the vertex's master partition
-// through the routed mailbox.
+// locally, then transmit the visitor to its master through the routed
+// mailbox.
 func (q *Queue[V]) Push(v V) {
 	q.stats.Pushed++
 	q.met.pushed.Inc(q.met.rank)
 	dest := q.part.Master(v.Vertex())
-	if q.ghostAlgo != nil && dest != q.part.Rank {
+	if dest == q.part.Rank {
+		q.stats.Local++
+		q.met.local.Inc(q.met.rank)
+		if !q.cancelled {
+			q.accept(v)
+		}
+		return
+	}
+	if q.ghostAlgo != nil {
 		if gi, ok := q.ghosts.Lookup(v.Vertex()); ok {
 			if !q.ghostAlgo.PreVisitGhost(v, gi) {
 				q.stats.GhostFiltered++
@@ -253,24 +269,26 @@ func (q *Queue[V]) Push(v V) {
 	q.mb.SendTagged(dest, q.tag, q.encBuf)
 }
 
-// receive handles one delivered visitor (Algorithm 1, CHECK_MAILBOX body):
-// PreVisit against local state; if it proceeds, queue locally and forward to
-// the next replica when the vertex's adjacency list continues on a later
-// partition. A cancelled queue drains the record without applying it — the
-// delivery was already counted toward termination by the mailbox, so the
-// query still quiesces, but no new state changes or pushes happen.
-// receive applies one delivered record. Recycle-epoch handshake with the
-// mailbox's arena delivery (mailbox.Record): rec.Payload is only valid until
-// the next mailbox Poll, and Algorithm.Decode is required to deserialize
-// into a value-typed visitor without retaining the payload slice — every
-// in-tree algorithm does — so nothing here outlives the epoch.
+// receive handles one delivered record (Algorithm 1, CHECK_MAILBOX body). A
+// cancelled queue drains the record without applying it — the delivery was
+// already counted toward termination by the mailbox, so the query still
+// quiesces, but no new state changes or pushes happen. rec.Payload is valid
+// only during this call (mailbox.Record); Algorithm.Decode deserializes into
+// a value-typed visitor without retaining it.
 func (q *Queue[V]) receive(rec mailbox.Record) {
 	q.stats.Received++
 	q.met.received.Inc(q.met.rank)
 	if q.cancelled {
 		return
 	}
-	v := q.algo.Decode(rec.Payload)
+	q.accept(q.algo.Decode(rec.Payload))
+}
+
+// accept applies one visitor that reached this rank, by delivery or by a
+// local push: PreVisit against local state; if it proceeds, queue locally
+// and forward to the next replica when the vertex's adjacency list
+// continues on a later partition.
+func (q *Queue[V]) accept(v V) {
 	if !q.algo.PreVisit(v) {
 		return
 	}
@@ -294,7 +312,8 @@ func (q *Queue[V]) receive(rec mailbox.Record) {
 }
 
 // Deliver routes one record (already demultiplexed by tag) into the queue.
-// Engine mode only; the classic Run path consumes its own mailbox.
+// Engine mode only; the classic Run path consumes its own mailbox. The
+// payload is only read during the call.
 func (q *Queue[V]) Deliver(rec mailbox.Record) { q.receive(rec) }
 
 // Step executes up to batch locally queued visitors, returning whether any
@@ -426,11 +445,7 @@ func (q *Queue[V]) PumpTermination(localIdle bool) bool {
 func (q *Queue[V]) Run() {
 	idleSpins := 0
 	for {
-		progress := false
-		for _, rec := range q.mb.Poll() {
-			q.receive(rec)
-			progress = true
-		}
+		progress := q.mb.Poll(q.receive) > 0
 		if q.schedLen() > 0 {
 			// Sample local queue depth once per visit batch.
 			q.met.queueDepth.Observe(uint64(q.schedLen()))

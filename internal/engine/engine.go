@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,28 +263,49 @@ type ctlEvent struct {
 // loops spin on the atomic (no lock) and take the read lock only when the
 // published length passed their cursor. Entries below the published length
 // are immutable.
+//
+// Cursors are absolute log positions, but the log keeps only the suffix no
+// local rank has passed yet: every event holds its query, and through it the
+// query's result arrays, so an engine that kept the whole log would retain
+// every query it ever ran.
 type ctlLog struct {
 	mu     sync.RWMutex
-	events []ctlEvent
+	events []ctlEvent // events[i] is log position base+i
+	base   int
+	passed []int // per local rank: the cursor its loop has consumed up to
 	length atomic.Uint64
 }
 
 func (l *ctlLog) append(ev ctlEvent) {
 	l.mu.Lock()
 	l.events = append(l.events, ev)
-	l.length.Store(uint64(len(l.events)))
+	l.length.Store(uint64(l.base + len(l.events)))
 	l.mu.Unlock()
 }
 
-// from returns a copy of the events at index >= cursor.
+// from returns a copy of the events at positions >= cursor.
 func (l *ctlLog) from(cursor int) []ctlEvent {
 	if l.length.Load() <= uint64(cursor) {
 		return nil
 	}
 	l.mu.RLock()
-	out := append([]ctlEvent(nil), l.events[cursor:]...)
+	out := append([]ctlEvent(nil), l.events[cursor-l.base:]...)
 	l.mu.RUnlock()
 	return out
+}
+
+// pass records that local rank slot has processed every event before
+// cursor, then drops — zeroing the query pointers — the prefix that every
+// local rank has passed.
+func (l *ctlLog) pass(slot, cursor int) {
+	l.mu.Lock()
+	l.passed[slot] = cursor
+	if n := slices.Min(l.passed) - l.base; n > 0 {
+		clear(l.events[:n])
+		l.events = l.events[n:]
+		l.base += n
+	}
+	l.mu.Unlock()
 }
 
 // query is the shared per-query object. Ranks write disjoint master ranges
@@ -562,6 +584,7 @@ func Start(cfg Config, opts Options) (*Engine, error) {
 		obsDeadline:  reg.Counter(obs.EngineDeadlineExpired),
 		obsResumed:   reg.Counter(obs.EngineResumed),
 	}
+	e.log.passed = make([]int, hi-lo)
 	go func() {
 		defer close(e.runDone)
 		e.cfg.Machine.Run(e.rankLoop)

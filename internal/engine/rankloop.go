@@ -128,6 +128,8 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 	if e.cfg.Pagers != nil {
 		s.pager = e.cfg.Pagers[r.Rank()]
 	}
+	lo, _ := e.cfg.Machine.LocalRange()
+	slot := r.Rank() - lo
 	shutdown := false
 	idleSpins := 0
 	var finished []uint32 // reused scratch
@@ -135,7 +137,8 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 		progress := false
 
 		// Control events, in global log order.
-		for _, ev := range e.log.from(s.cursor) {
+		events := e.log.from(s.cursor)
+		for _, ev := range events {
 			s.cursor++
 			progress = true
 			switch ev.kind {
@@ -162,6 +165,9 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 			case evShutdown:
 				shutdown = true
 			}
+		}
+		if len(events) > 0 {
+			e.log.pass(slot, s.cursor)
 		}
 
 		// One execution slice per in-flight query. In out-of-core mode Step
@@ -192,31 +198,15 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 			}
 		}
 
-		// Shared mailbox poll, demultiplexed by record tag. Polling AFTER the
-		// execution slices matters for termination safety: loopback records
-		// pushed during Step are counted received the moment the mailbox
-		// parks them, so a query must not report local idleness while such a
-		// record awaits application — this poll drains them into the heaps
-		// (making LocalIdle false), and nothing below creates new local
-		// deliveries before the detectors pump.
-		for _, rec := range s.box.Poll() {
+		// Shared mailbox poll, demultiplexed by record tag. Visitors a query
+		// pushes to vertices this rank masters never reach the mailbox: the
+		// queue pre-visits them in place, so they are already scheduled (and
+		// LocalIdle false) when Step returns. What still loops back — DO-BFS
+		// self-sends — waits in the mailbox's self-envelope and is counted
+		// received only when a Poll delivers it, so until then the query's
+		// S−R gap keeps its detector from declaring quiescence.
+		if s.box.Poll(s.demux) > 0 {
 			progress = true
-			if rq := s.active[rec.Tag]; rq != nil {
-				rq.run.Deliver(rec)
-			} else if _, gone := s.dead[rec.Tag]; gone {
-				// Straggler for a force-aborted query (a surviving peer kept
-				// sending until its own abort landed): drop it. The flow
-				// ledger of an aborted query is void by construction.
-				continue
-			} else {
-				// Start event not replayed yet (quiesced queries cannot
-				// receive: their S==R drained before ID retirement). Parking
-				// retains the record past this poll epoch, so the payload —
-				// an arena sub-slice the mailbox reclaims at its next Poll —
-				// must be copied out first (see mailbox.Record).
-				rec.Payload = append([]byte(nil), rec.Payload...)
-				s.pending[rec.Tag] = append(s.pending[rec.Tag], rec)
-			}
 		}
 
 		// Out of immediate work: flush partial aggregation buffers so parked
@@ -254,6 +244,27 @@ func (e *Engine) rankLoop(r *rt.Rank) {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
+}
+
+// demux routes one polled record to its query by tag.
+func (s *rankState) demux(rec mailbox.Record) {
+	if rq := s.active[rec.Tag]; rq != nil {
+		rq.run.Deliver(rec)
+		return
+	}
+	if _, gone := s.dead[rec.Tag]; gone {
+		// Straggler for a force-aborted query (a surviving peer kept sending
+		// until its own abort landed): drop it. The flow ledger of an aborted
+		// query is void by construction.
+		return
+	}
+	// Start event not replayed yet (quiesced queries cannot receive: their
+	// S==R drained before ID retirement). Parking retains the record past
+	// this handler call, so the payload — decoded in place from an envelope
+	// the mailbox recycles once the walk moves on — must be copied out first
+	// (see mailbox.Record).
+	rec.Payload = append([]byte(nil), rec.Payload...)
+	s.pending[rec.Tag] = append(s.pending[rec.Tag], rec)
 }
 
 // start brings a query live on this rank: mint its detector instance, build

@@ -322,8 +322,13 @@ func TestEngineReliableUnderMessageFaults(t *testing.T) {
 				Reorder: 0.10}, // control plane: reorder only (loss not tolerated there)
 		},
 	}
+	// A 1 KiB flush threshold ships ~135 envelopes per run instead of ~50
+	// at the default: the retransmission check below needs the drop plan
+	// to hit data frames, not just acks (a lost ack is covered by the next
+	// cumulative ack and needs no retransmit).
 	e, edges, n := buildEngineFaulty(t, 8, 4, "2d",
-		engine.Options{Reliable: true, RTOBase: time.Millisecond, RTOMax: 20 * time.Millisecond}, plan)
+		engine.Options{Reliable: true, RTOBase: time.Millisecond, RTOMax: 20 * time.Millisecond,
+			FlushBytes: 1024}, plan)
 	defer e.Close()
 
 	adj := ref.BuildAdj(edges, n)

@@ -24,22 +24,27 @@ const budgetEpsilon = 0.1
 
 // TestAllocBudgetLoopback pins the delivery half: at steady state a
 // 64-record Send+Poll cycle on the loopback path must allocate nothing —
-// payload copies land in the recycled arena, the Record batch reuses the
-// previous epoch's slice, and no envelope buffers are involved.
+// records are framed into the self-envelope, whose two buffers swap at every
+// Poll, and handed to the handler in place; no envelope buffers are
+// involved.
 func TestAllocBudgetLoopback(t *testing.T) {
 	rt.NewMachine(1).Run(func(r *rt.Rank) {
 		box := New(r, NewDirect(1), termination.New(r))
 		payload := make([]byte, benchPayloadBytes)
+		var bytes int
+		handle := func(rec Record) { bytes += len(rec.Payload) }
 		cycle := func() {
 			for i := 0; i < 64; i++ {
 				box.Send(0, payload)
 			}
-			if got := len(box.Poll()); got != 64 {
-				t.Fatalf("loopback poll returned %d records, want 64", got)
+			bytes = 0
+			if got := box.Poll(handle); got != 64 || bytes != 64*benchPayloadBytes {
+				t.Fatalf("loopback poll handled %d records (%d bytes), want 64 (%d bytes)",
+					got, bytes, 64*benchPayloadBytes)
 			}
 		}
 		for i := 0; i < 8; i++ {
-			cycle() // warm both arena epochs and the delivered slices
+			cycle() // grow both self-envelope buffers
 		}
 		avg := testing.AllocsPerRun(100, cycle)
 		if raceEnabled {
@@ -52,9 +57,9 @@ func TestAllocBudgetLoopback(t *testing.T) {
 }
 
 // TestAllocBudgetDecodeDeliver pins the receive half: draining and decoding
-// a multi-record envelope into delivered records must allocate nothing at
-// steady state (the drained envelope is recycled into the box's pool, the
-// record payloads are carved from the recycled arena).
+// a multi-record envelope into handler calls must allocate nothing at steady
+// state (records are decoded in place, and the drained envelope is recycled
+// into the box's pool).
 func TestAllocBudgetDecodeDeliver(t *testing.T) {
 	rt.NewMachine(1).Run(func(r *rt.Rank) {
 		box := New(r, NewDirect(1), nil)
@@ -69,10 +74,14 @@ func TestAllocBudgetDecodeDeliver(t *testing.T) {
 			env = append(env, hdr[:]...)
 			env = append(env, make([]byte, benchPayloadBytes)...)
 		}
+		var tags uint32
+		handle := func(rec Record) { tags += rec.Tag }
 		cycle := func() {
 			r.Send(0, rt.KindMailbox, 0, env)
-			if got := len(box.Poll()); got != recs {
-				t.Fatalf("poll returned %d records, want %d", got, recs)
+			tags = 0
+			if got := box.Poll(handle); got != recs || tags != recs*(recs-1)/2 {
+				t.Fatalf("poll handled %d records (tag sum %d), want %d (%d)",
+					got, tags, recs, recs*(recs-1)/2)
 			}
 		}
 		for i := 0; i < 8; i++ {
@@ -121,11 +130,11 @@ func TestAllocBudgetRoutedSteadyState(t *testing.T) {
 				box.Send(other, payload)
 			}
 			box.FlushAll()
-			box.Poll()
+			box.Poll(discard)
 		}
 		drain := func() {
 			for !det.Pump(box.Idle()) {
-				box.Poll()
+				box.Poll(discard)
 				box.FlushAll()
 			}
 		}

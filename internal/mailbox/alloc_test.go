@@ -4,9 +4,10 @@ package mailbox
 //
 // The routed aggregating mailbox is the system's per-record hot path: every
 // visitor crosses Send → enqueue (framing) → ship → transport → Poll →
-// decodeEnvelope → deliver → drain. BENCH_msgplane.json records the
-// before/after numbers for the pooled-envelope + arena-delivery rework; the
-// TestAllocBudget* tests below pin the steady-state budgets so allocation
+// decodeEnvelope → handler. BENCH_msgplane.json records the before/after
+// numbers for the pooled-envelope rework (measured with the arena delivery
+// that in-place decoding has since replaced); the TestAllocBudget* tests in
+// alloc_budget_test.go pin the steady-state budgets so allocation
 // regressions fail `make bench-smoke` (and CI), not just benchmarks.
 //
 // The budget tests are skipped under the race detector (the race runtime
@@ -40,14 +41,14 @@ func runRoutedBench(b *testing.B, opts ...Option) {
 			for i := 0; i < b.N; i++ {
 				box.Send(1, payload)
 				if i&511 == 511 {
-					box.Poll() // drain acks / drive retransmit timers (reliable path)
+					box.Poll(discard) // drain acks / drive retransmit timers (reliable path)
 				}
 			}
 			box.FlushAll()
 		}
 		deadline := time.Now().Add(60 * time.Second)
 		for !det.Pump(box.Idle()) {
-			box.Poll()
+			box.Poll(discard)
 			box.FlushAll()
 			if time.Now().After(deadline) {
 				panic("mailbox benchmark did not quiesce")
@@ -67,7 +68,7 @@ func BenchmarkMsgPlaneReliable(b *testing.B) { runRoutedBench(b, WithReliable())
 
 // BenchmarkMsgPlaneLoopback isolates the deliver/drain half: self-sends skip
 // the transport entirely, so every allocation observed is the delivery path's
-// own (record copy + delivered-queue bookkeeping).
+// own (self-envelope framing + in-place decode).
 func BenchmarkMsgPlaneLoopback(b *testing.B) {
 	b.ReportAllocs()
 	rt.NewMachine(1).Run(func(r *rt.Rank) {
@@ -77,11 +78,11 @@ func BenchmarkMsgPlaneLoopback(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			box.Send(0, payload)
 			if i&63 == 63 {
-				if got := len(box.Poll()); got != 64 {
+				if got := box.Poll(discard); got != 64 {
 					panic("loopback poll lost records")
 				}
 			}
 		}
-		box.Poll()
+		box.Poll(discard)
 	})
 }

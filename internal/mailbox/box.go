@@ -89,7 +89,6 @@ type metrics struct {
 	poolHits     *obs.PerRank
 	poolRecycled *obs.PerRank
 	poolFree     *obs.Gauge
-	arenaBytes   *obs.Histogram
 
 	retransmits    *obs.PerRank
 	dupDropped     *obs.PerRank
@@ -116,7 +115,6 @@ func newMetrics(r *rt.Rank) metrics {
 		poolHits:     reg.PerRank(obs.MBPoolHits, p),
 		poolRecycled: reg.PerRank(obs.MBPoolRecycledBytes, p),
 		poolFree:     reg.Gauge(obs.MBPoolFree),
-		arenaBytes:   reg.Histogram(obs.MBArenaPollBytes),
 
 		retransmits:    reg.PerRank(obs.MBRetransmits, p),
 		dupDropped:     reg.PerRank(obs.MBDupDropped, p),
@@ -157,8 +155,9 @@ type Box struct {
 	flows FlowCounter // nil = no flow accounting
 
 	flushBytes int
-	buffers    map[int][]byte   // next-hop rank -> pending aggregated records
-	channels   map[int]struct{} // distinct next-hop ranks ever used (Stats.ChannelsUsed)
+	buffers    [][]byte // indexed by next-hop rank: pending aggregated records
+	channels   []bool   // indexed by next-hop rank: ever used (Stats.ChannelsUsed)
+	usedHops   []int    // the next-hop ranks ever used, in first-use order
 	stats      Stats
 	met        metrics
 	inFlush    bool // inside FlushAll (attributes shipments to MBFlushes)
@@ -170,16 +169,13 @@ type Box struct {
 	// it.
 	pool envPool
 
-	// Arena-backed delivery (pool.go): each poll epoch's delivered record
-	// payloads are batch-copied into one grow-only arena and handed out as
-	// capacity-clamped sub-slices. delivered/arena accumulate the current
-	// epoch; deliveredPrev/arenaPrev hold the previous epoch's (possibly
-	// still referenced by the caller) storage and are reset and reused when
-	// Poll rolls the epoch over.
-	delivered     []Record
-	deliveredPrev []Record
-	arena         []byte
-	arenaPrev     []byte
+	// self is the self-envelope: loopback records framed exactly like an
+	// aggregated envelope, drained (and counted received) at the next Poll.
+	// selfSpare is the other half of a take-and-swap pair — Poll drains one
+	// buffer while handler self-sends append to the other — so steady-state
+	// loopback reallocates nothing and a handler can never alias the
+	// envelope being walked.
+	self, selfSpare []byte
 
 	// msgScratch is the reusable rt.Msg drain buffer handed to
 	// rt.Rank.RecvInto on the raw path.
@@ -193,15 +189,16 @@ type Box struct {
 	rtoBase, rtoMax time.Duration
 }
 
-// Record is one delivered visitor record. The payload is a copy carved from
-// the Box's delivery arena: it never aliases transport buffers, and it is
-// capacity-clamped so appending to it reallocates instead of running into a
-// sibling record's bytes. Payloads are valid until the NEXT Poll on the same
-// Box — at that point their arena is reset and reused for a new epoch — so a
-// caller that parks a Record across polls must copy the payload out
-// (append([]byte(nil), p...)). Mutating a payload in place within its epoch
-// is safe and affects no other record. Tag is the record namespace stamped
-// at Send time (query ID under the multi-query engine, 0 on the
+// Record is one delivered visitor record, handed to the Poll handler. The
+// payload is decoded in place: it is a sub-slice of the envelope being
+// walked (a received envelope, or the box's self-envelope) and is valid only
+// for the duration of the handler call — the envelope goes back to the
+// buffer pool, or is refilled, once Poll moves on. A handler that keeps a
+// Record past its return must copy the payload out
+// (append([]byte(nil), p...)). The payload is capacity-clamped, so appending
+// to it reallocates instead of running into a sibling record's bytes, and
+// mutating it in place affects no other record. Tag is the record namespace
+// stamped at Send time (query ID under the multi-query engine, 0 on the
 // single-traversal path).
 type Record struct {
 	Tag     uint32
@@ -253,8 +250,8 @@ func New(r *rt.Rank, topo Topology, det *termination.Detector, opts ...Option) *
 		r:          r,
 		topo:       topo,
 		flushBytes: DefaultFlushBytes,
-		buffers:    make(map[int][]byte),
-		channels:   make(map[int]struct{}),
+		buffers:    make([][]byte, r.Size()),
+		channels:   make([]bool, r.Size()),
 		met:        newMetrics(r),
 	}
 	if det != nil {
@@ -289,11 +286,23 @@ func (b *Box) SendTagged(dest int, tag uint32, record []byte) {
 		b.flows.CountSent(tag, 1)
 	}
 	if dest == b.r.Rank() {
-		// Loopback delivery, as MPI self-sends do.
-		b.deliver(tag, record)
+		// Loopback, as MPI self-sends do: the record waits in the
+		// self-envelope and is delivered (and counted received) by the next
+		// Poll, never by the one currently running.
+		b.self = appendRecord(b.self, dest, tag, record)
 		return
 	}
 	b.enqueue(dest, tag, record)
+}
+
+// appendRecord frames one record onto an envelope buffer.
+func appendRecord(buf []byte, dest int, tag uint32, record []byte) []byte {
+	var hdr [recordHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(dest))
+	binary.LittleEndian.PutUint32(hdr[4:], tag)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(record)))
+	buf = append(buf, hdr[:]...)
+	return append(buf, record...)
 }
 
 // enqueue appends a framed record to the aggregation buffer of the next hop
@@ -311,16 +320,12 @@ func (b *Box) enqueue(dest int, tag uint32, record []byte) {
 	// Count distinct next-hop channels, not buffer (re)creations: a buffer is
 	// nil again after every ship/FlushAll, so keying the count off buffer
 	// existence would inflate ChannelsUsed past Topology.MaxChannels.
-	if _, seen := b.channels[hop]; !seen {
-		b.channels[hop] = struct{}{}
+	if !b.channels[hop] {
+		b.channels[hop] = true
+		b.usedHops = append(b.usedHops, hop)
 		b.stats.ChannelsUsed++
 	}
-	var hdr [recordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(dest))
-	binary.LittleEndian.PutUint32(hdr[4:], tag)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(record)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, record...)
+	buf = appendRecord(buf, dest, tag, record)
 	if len(buf) >= b.flushBytes {
 		b.ship(hop, buf)
 		buf = nil
@@ -353,24 +358,16 @@ func (b *Box) ship(hop int, buf []byte) {
 	}
 }
 
-// deliver appends a record addressed to this rank to the delivered queue.
-// The bytes are always copied — delivered payloads must never alias the
-// incoming envelope's backing array nor a loopback caller's reusable buffer
-// — but instead of one heap allocation per record, the copy lands in the
-// current poll epoch's grow-only arena and the Record gets a
-// capacity-clamped sub-slice (appending to it reallocates rather than
-// running into the next record's bytes). Arena storage is reclaimed at the
-// next-plus-one Poll; see Record for the ownership contract.
-func (b *Box) deliver(tag uint32, record []byte) {
-	off := len(b.arena)
-	b.arena = append(b.arena, record...)
-	end := len(b.arena)
-	b.delivered = append(b.delivered, Record{Tag: tag, Payload: b.arena[off:end:end]})
+// deliver counts one record addressed to this rank as received and hands it
+// to the Poll handler. The payload is not copied: see Record for the
+// ownership contract.
+func (b *Box) deliver(tag uint32, record []byte, handle func(Record)) {
 	b.stats.RecordsDelivered++
 	b.met.delivered.Inc(b.met.rank)
 	if b.flows != nil {
 		b.flows.CountReceived(tag, 1)
 	}
+	handle(Record{Tag: tag, Payload: record})
 }
 
 // getBuf returns an empty aggregation buffer, recycled from the pool when
@@ -435,12 +432,13 @@ func (b *Box) ackSent() {
 	b.met.acksSent.Inc(b.met.rank)
 }
 
-// decodeEnvelope walks one envelope's framed records, delivering records
-// addressed to this rank and re-forwarding the rest. Malformed framing never
-// panics: a record whose header length exceeds the remaining bytes (or a
-// truncated trailing header) discards the rest of the envelope, and a record
-// whose dest is outside [0, p) is skipped — both counted as decode errors.
-func (b *Box) decodeEnvelope(p []byte) {
+// decodeEnvelope walks one envelope's framed records, handing records
+// addressed to this rank to handle in place and re-forwarding the rest.
+// Malformed framing never panics: a record whose header length exceeds the
+// remaining bytes (or a truncated trailing header) discards the rest of the
+// envelope, and a record whose dest is outside [0, p) is skipped — both
+// counted as decode errors.
+func (b *Box) decodeEnvelope(p []byte, handle func(Record)) {
 	for len(p) > 0 {
 		if len(p) < recordHeader {
 			b.decodeError() // truncated header tail
@@ -453,14 +451,14 @@ func (b *Box) decodeEnvelope(p []byte) {
 			b.decodeError() // oversized length: would run past the envelope
 			return
 		}
-		rec := p[recordHeader : recordHeader+n]
+		rec := p[recordHeader : recordHeader+n : recordHeader+n]
 		p = p[recordHeader+n:]
 		if dest < 0 || dest >= b.r.Size() {
 			b.decodeError() // misrouted dest: NextHop preconditions violated
 			continue
 		}
 		if dest == b.r.Rank() {
-			b.deliver(tag, rec)
+			b.deliver(tag, rec, handle)
 		} else {
 			b.stats.RecordsForwarded++
 			b.met.forwarded.Inc(b.met.rank)
@@ -470,12 +468,23 @@ func (b *Box) decodeEnvelope(p []byte) {
 }
 
 // Poll drains incoming envelopes, re-forwards records routed through this
-// rank, and returns the records whose final destination is this rank —
-// including loopback records Sent since the previous Poll. The returned
-// slice and every Record.Payload in it stay valid until the NEXT Poll on
-// this Box, when their arena epoch is reclaimed; callers that park records
-// longer must copy payloads out (see Record).
-func (b *Box) Poll() []Record {
+// rank, and calls handle once per record whose final destination is this
+// rank — first the loopback records Sent since the previous Poll (the
+// self-envelope), then received envelopes in arrival order. It returns the
+// number of records handled. Records are decoded in place, so a
+// Record.Payload is valid only during its handle call (see Record). handle
+// may Send, including to this rank — a self-send made during Poll is
+// delivered by the next Poll — but must not call Poll or FlushAll.
+func (b *Box) Poll(handle func(Record)) int {
+	before := b.stats.RecordsDelivered
+	if len(b.self) > 0 {
+		// Take and swap: handler self-sends land in the spare buffer, never
+		// in the envelope being walked.
+		env := b.self
+		b.self = b.selfSpare[:0]
+		b.decodeEnvelope(env, handle)
+		b.selfSpare = env[:0]
+	}
 	if b.rel != nil {
 		// Reliable path: the protocol layer validates, dedups, orders, acks,
 		// and drives retransmission; only accepted envelopes reach decode.
@@ -484,74 +493,66 @@ func (b *Box) Poll() []Record {
 		for _, payload := range b.rel.poll() {
 			b.stats.EnvelopesRecv++
 			b.met.envelopesRecv.Inc(b.met.rank)
-			b.decodeEnvelope(payload)
+			b.decodeEnvelope(payload, handle)
 		}
 	} else {
 		// Raw path: a drained envelope on the perfect transport is the
 		// receiver's exclusive copy (the sender shipped and forgot it), so
-		// after decode its buffer feeds this rank's aggregation pool.
-		// ExclusiveDelivery latches false once a fault-injecting transport
-		// has existed (Duplicate fates alias payloads) and recycling stops.
+		// once decode — and with it every handler call that could see its
+		// bytes — has finished, its buffer feeds this rank's aggregation
+		// pool. ExclusiveDelivery latches false once a fault-injecting
+		// transport has existed (Duplicate fates alias payloads) and
+		// recycling stops.
 		exclusive := b.r.ExclusiveDelivery()
 		b.msgScratch = b.r.RecvInto(rt.KindMailbox, b.msgScratch[:0])
 		for i := range b.msgScratch {
 			m := &b.msgScratch[i]
 			b.stats.EnvelopesRecv++
 			b.met.envelopesRecv.Inc(b.met.rank)
-			b.decodeEnvelope(m.Payload)
+			b.decodeEnvelope(m.Payload, handle)
 			if exclusive {
 				b.recycle(m.Payload)
 			}
 			m.Payload = nil // drop the reference either way
 		}
 	}
-	if len(b.arena) > 0 {
-		b.met.arenaBytes.Observe(uint64(len(b.arena)))
-	}
-	// Roll the delivery epoch: hand the current batch to the caller, reclaim
-	// the previous batch's storage for the next one. Two epochs alternate so
-	// the caller's records survive exactly one Poll boundary.
-	out := b.delivered
-	prev := b.deliveredPrev
-	for i := range prev {
-		prev[i] = Record{}
-	}
-	b.delivered = prev[:0]
-	b.deliveredPrev = out
-	b.arena, b.arenaPrev = b.arenaPrev[:0], b.arena
-	return out
+	return int(b.stats.RecordsDelivered - before)
 }
 
 // PendingRecords counts records currently parked in this rank's aggregation
-// buffers — the per-rank term of the machine-wide conservation law
-// Σsent == Σdelivered + Σpending that internal/check asserts between flush
-// rounds (buffers are self-framed and well-formed by construction).
+// buffers and self-envelope — the per-rank term of the machine-wide
+// conservation law Σsent == Σdelivered + Σpending that internal/check
+// asserts between flush rounds (buffers are self-framed and well-formed by
+// construction).
 func (b *Box) PendingRecords() int {
 	total := 0
-	for _, buf := range b.buffers {
-		for len(buf) >= recordHeader {
-			n := int(binary.LittleEndian.Uint32(buf[8:]))
-			buf = buf[recordHeader+n:]
-			total++
-		}
-	}
+	b.eachPending(func(uint32) { total++ })
 	return total
 }
 
-// PendingByTag counts records parked in this rank's aggregation buffers per
-// record tag — the per-query pending term of the per-query conservation law
-// the engine's invariant checks assert mid-flight.
+// PendingByTag counts records parked in this rank's aggregation buffers and
+// self-envelope per record tag — the per-query pending term of the
+// per-query conservation law the engine's invariant checks assert
+// mid-flight.
 func (b *Box) PendingByTag() map[uint32]int {
 	out := make(map[uint32]int)
-	for _, buf := range b.buffers {
+	b.eachPending(func(tag uint32) { out[tag]++ })
+	return out
+}
+
+// eachPending calls fn with the tag of every record not yet shipped or
+// delivered: the self-envelope's, then each aggregation buffer's.
+func (b *Box) eachPending(fn func(tag uint32)) {
+	walk := func(buf []byte) {
 		for len(buf) >= recordHeader {
-			tag := binary.LittleEndian.Uint32(buf[4:])
-			n := int(binary.LittleEndian.Uint32(buf[8:]))
-			buf = buf[recordHeader+n:]
-			out[tag]++
+			fn(binary.LittleEndian.Uint32(buf[4:]))
+			buf = buf[recordHeader+int(binary.LittleEndian.Uint32(buf[8:])):]
 		}
 	}
-	return out
+	walk(b.self)
+	for _, hop := range b.usedHops {
+		walk(b.buffers[hop])
+	}
 }
 
 // FlushAll ships every non-empty aggregation buffer. Called when the rank
@@ -559,8 +560,8 @@ func (b *Box) PendingByTag() map[uint32]int {
 // traversal or termination detection.
 func (b *Box) FlushAll() {
 	b.inFlush = true
-	for hop, buf := range b.buffers {
-		if len(buf) > 0 {
+	for _, hop := range b.usedHops {
+		if buf := b.buffers[hop]; len(buf) > 0 {
 			b.ship(hop, buf)
 			b.buffers[hop] = nil
 		}
@@ -568,13 +569,17 @@ func (b *Box) FlushAll() {
 	b.inFlush = false
 }
 
-// Idle reports whether this rank's mailbox holds no buffered outbound
-// records — and, on a reliable box, no unacknowledged frames: a rank stays
-// non-idle (and keeps retransmitting via Poll) until its deliveries are
-// confirmed, so quiescence implies the message plane is truly drained.
+// Idle reports whether this rank's mailbox holds no buffered outbound or
+// loopback records — and, on a reliable box, no unacknowledged frames: a
+// rank stays non-idle (and keeps retransmitting via Poll) until its
+// deliveries are confirmed, so quiescence implies the message plane is truly
+// drained.
 func (b *Box) Idle() bool {
-	for _, buf := range b.buffers {
-		if len(buf) > 0 {
+	if len(b.self) > 0 {
+		return false
+	}
+	for _, hop := range b.usedHops {
+		if len(b.buffers[hop]) > 0 {
 			return false
 		}
 	}

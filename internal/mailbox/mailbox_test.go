@@ -113,6 +113,9 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// discard is the Poll handler of tests that only drive an exchange.
+func discard(Record) {}
+
 // deliverAll runs a full exchange where every rank sends `msgs` records to
 // every other rank, and returns per-rank received payload sets.
 func deliverAll(t *testing.T, p int, topo Topology, flushBytes int) [][]string {
@@ -127,9 +130,9 @@ func deliverAll(t *testing.T, p int, topo Topology, flushBytes int) [][]string {
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			for _, rec := range box.Poll() {
+			box.Poll(func(rec Record) {
 				got[r.Rank()] = append(got[r.Rank()], string(rec.Payload))
-			}
+			})
 			box.FlushAll()
 			if det.Pump(box.Idle()) {
 				break
@@ -188,7 +191,7 @@ func TestAggregationReducesEnvelopes(t *testing.T) {
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			box.Poll()
+			box.Poll(discard)
 			box.FlushAll()
 			if det.Pump(box.Idle()) {
 				break
@@ -217,7 +220,7 @@ func TestFlushThresholdShipsEagerly(t *testing.T) {
 			return
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for len(box.Poll()) == 0 {
+		for box.Poll(discard) == 0 {
 			if time.Now().After(deadline) {
 				panic("record never arrived")
 			}
@@ -231,8 +234,9 @@ func TestLoopbackDelivery(t *testing.T) {
 		det := termination.New(r)
 		box := New(r, NewDirect(1), det)
 		box.Send(0, []byte("self"))
-		recs := box.Poll()
-		if len(recs) != 1 || string(recs[0].Payload) != "self" {
+		var got []string
+		box.Poll(func(rec Record) { got = append(got, string(rec.Payload)) })
+		if len(got) != 1 || got[0] != "self" {
 			panic("loopback delivery broken")
 		}
 		if det.Sent() != 1 || det.Received() != 1 {
@@ -253,7 +257,7 @@ func TestChannelsUsedNotInflatedByFlush(t *testing.T) {
 			box := New(r, NewDirect(p), nil)
 			deadline := time.Now().Add(10 * time.Second)
 			for n := 0; n < 3; {
-				n += len(box.Poll())
+				n += box.Poll(discard)
 				if time.Now().After(deadline) {
 					panic("records never arrived")
 				}
@@ -273,8 +277,11 @@ func TestChannelsUsedNotInflatedByFlush(t *testing.T) {
 
 func TestDeliveredRecordsDoNotAlias(t *testing.T) {
 	// Regression: records delivered from one envelope shared its backing
-	// array, so appending to (or scribbling over) one Record.Payload could
-	// corrupt its siblings. Each payload must be an exclusive copy.
+	// array without clamping, so appending to (or scribbling over) one
+	// Record.Payload could corrupt its siblings. Payloads are decoded in
+	// place now, so the guarantee is per handler call: whatever a handler
+	// does to its payload, the next record of the same envelope still
+	// decodes intact.
 	p := 2
 	m := rt.NewMachine(p)
 	m.Run(func(r *rt.Rank) {
@@ -289,27 +296,34 @@ func TestDeliveredRecordsDoNotAlias(t *testing.T) {
 			return
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		var recs []Record
-		for len(recs) < 2 {
-			recs = append(recs, box.Poll()...)
+		var got []string
+		hostile := func(rec Record) {
+			got = append(got, string(rec.Payload))
+			// Grow the payload and scribble over it, then over the original.
+			grown := append(rec.Payload, []byte("-overflow-overflow")...)
+			for i := range grown {
+				grown[i] = 0xFF
+			}
+			for i := range rec.Payload {
+				rec.Payload[i] = 0xFF
+			}
+		}
+		for len(got) < 2 {
+			box.Poll(hostile)
 			if time.Now().After(deadline) {
 				panic("records never arrived")
 			}
 		}
-		// Mutate record 0 aggressively: grow it and scribble over it.
-		recs[0].Payload = append(recs[0].Payload, []byte("-overflow-overflow")...)
-		for i := range recs[0].Payload {
-			recs[0].Payload[i] = 0xFF
-		}
-		if string(recs[1].Payload) != "second" {
-			panic(fmt.Sprintf("sibling record corrupted by mutation: %q", recs[1].Payload))
+		if got[0] != "first" || got[1] != "second" {
+			panic(fmt.Sprintf("sibling record corrupted by mutation: %q", got))
 		}
 		// Loopback deliveries must not alias the sender's reusable buffer.
 		buf := []byte("loop")
 		box.Send(1, buf)
-		got := box.Poll()
 		copy(buf, "XXXX")
-		if len(got) != 1 || string(got[0].Payload) != "loop" {
+		got = got[:0]
+		box.Poll(hostile)
+		if len(got) != 1 || got[0] != "loop" {
 			panic("loopback record aliases the caller's buffer")
 		}
 	})
@@ -335,7 +349,7 @@ func TestStatsForwarding(t *testing.T) {
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			box.Poll()
+			box.Poll(discard)
 			box.FlushAll()
 			if det.Pump(box.Idle()) {
 				break

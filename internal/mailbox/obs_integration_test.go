@@ -25,7 +25,7 @@ func TestObsCountersPopulateAcrossSubsystems(t *testing.T) {
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			box.Poll()
+			box.Poll(discard)
 			box.FlushAll()
 			if det.Pump(box.Idle()) {
 				break

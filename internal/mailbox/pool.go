@@ -1,6 +1,6 @@
 package mailbox
 
-// Envelope-buffer pooling and arena-backed delivery: the allocation story of
+// Envelope-buffer pooling and in-place delivery: the allocation story of
 // the message-plane hot path (DESIGN.md §9).
 //
 // Two kinds of memory dominate the Send→route→deliver→drain cycle:
@@ -12,13 +12,14 @@ package mailbox
 //     are drawn from, so at steady state envelope memory circulates between
 //     ranks instead of being reallocated per shipment.
 //
-//   - delivered record payloads: previously one heap copy per record.
-//     Box.deliver now batch-copies each poll epoch's records into one
-//     grow-only arena and hands out capacity-clamped sub-slices (appending
-//     to a Record.Payload reallocates instead of running into a sibling).
-//     Two arenas alternate across Poll calls, so a poll's records stay valid
-//     while the caller processes them and expire at the next Poll, when
-//     their arena is reset and reused.
+//   - delivered record payloads: never copied. Box.Poll decodes each
+//     envelope in place and hands every record to the caller's handler as a
+//     capacity-clamped sub-slice of the envelope (appending to a
+//     Record.Payload reallocates instead of running into a sibling). The
+//     payload is valid only during the handler call; the envelope is
+//     recycled once its walk finishes. Loopback records are framed into a
+//     self-envelope that Poll drains the same way, swapping it with a spare
+//     buffer first so handler self-sends never alias the walk.
 //
 // Safety rule: a buffer enters the pool only while it provably has a single
 // live reference. On the raw path that is true for a drained envelope on the

@@ -1,9 +1,9 @@
 package mailbox
 
 // Tests for the zero-allocation message plane (pool.go, DESIGN.md §9):
-// flush-threshold semantics, arena delivery isolation under hostile callers,
-// cross-epoch arena recycling, pool round-trips, and the fault-injection
-// recycling gate.
+// flush-threshold semantics, in-place delivery isolation under hostile
+// handlers, the self-envelope swap, pool round-trips, and the
+// fault-injection recycling gate.
 
 import (
 	"bytes"
@@ -58,11 +58,11 @@ func TestFlushThresholdCountsFramedBytes(t *testing.T) {
 }
 
 // pumpExchange runs a full all-to-all exchange (msgs records from every rank
-// to every rank, loopback included) and hands each poll batch to inspect
-// before the next Poll invalidates it. Returns per-rank received payload
-// counts.
+// to every rank, loopback included) and hands every delivered record to
+// inspect from inside the Poll handler, while its payload is still the
+// envelope's bytes. Returns per-rank received record counts.
 func pumpExchange(t *testing.T, p int, topo Topology, msgs int, reliable bool,
-	inspect func(rank int, recs []Record)) []int {
+	inspect func(rank int, rec Record)) []int {
 	t.Helper()
 	got := make([]int, p)
 	m := rt.NewMachine(p)
@@ -78,13 +78,10 @@ func pumpExchange(t *testing.T, p int, topo Topology, msgs int, reliable bool,
 				box.Send(dest, []byte(fmt.Sprintf("%d->%d#%d", r.Rank(), dest, i)))
 			}
 		}
+		handle := func(rec Record) { inspect(r.Rank(), rec) }
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			recs := box.Poll()
-			got[r.Rank()] += len(recs)
-			if len(recs) > 0 && inspect != nil {
-				inspect(r.Rank(), recs)
-			}
+			got[r.Rank()] += box.Poll(handle)
 			box.FlushAll()
 			if det.Pump(box.Idle()) {
 				break
@@ -98,56 +95,51 @@ func pumpExchange(t *testing.T, p int, topo Topology, msgs int, reliable bool,
 }
 
 // TestDeliveredRecordsIsolatedUnderMutation is the anti-aliasing regression
-// suite for arena delivery: for every topology, raw and reliable, a hostile
-// consumer that appends to and scribbles over every delivered payload must
-// not be able to corrupt any sibling record in the same poll batch.
+// suite for in-place delivery: for every topology, raw and reliable, a
+// hostile handler that appends to and scribbles over every payload it is
+// handed must not corrupt any sibling record of the same envelope, nor —
+// through envelopes recycled into the pool and refilled as outbound
+// buffers — any record delivered later. Every record must still arrive
+// intact, exactly once.
 func TestDeliveredRecordsIsolatedUnderMutation(t *testing.T) {
 	const p, msgs = 9, 6
 	for _, reliable := range []bool{false, true} {
 		for _, topo := range []Topology{NewDirect(p), NewGrid2D(p), NewGrid3D(p)} {
 			name := fmt.Sprintf("%s/reliable=%v", topo.Name(), reliable)
 			t.Run(name, func(t *testing.T) {
-				got := pumpExchange(t, p, topo, msgs, reliable, func(rank int, recs []Record) {
-					// Pass 1: snapshot every payload before touching any.
-					snaps := make([]string, len(recs))
-					for i, rec := range recs {
-						snaps[i] = string(rec.Payload)
+				seen := make([]map[string]int, p)
+				for i := range seen {
+					seen[i] = make(map[string]int)
+				}
+				got := pumpExchange(t, p, topo, msgs, reliable, func(rank int, rec Record) {
+					// Intact on arrival, although every earlier handler call
+					// scribbled over its own payload.
+					seen[rank][string(rec.Payload)]++
+					// Append, then scribble the grown slice. Payloads are
+					// capacity-clamped, so the append must reallocate —
+					// writing through the grown slice cannot reach the next
+					// record's header.
+					g := append(rec.Payload, 0xEE, 0xEE, 0xEE)
+					for j := range g {
+						g[j] = 0xEE
 					}
-					// Pass 2: append to every payload, then mutate the grown
-					// copy. Payloads are capacity-clamped arena sub-slices, so
-					// the append must reallocate — writing through the grown
-					// slice cannot touch the arena.
-					for i := range recs {
-						g := append(recs[i].Payload, 0xEE, 0xEE, 0xEE)
-						for j := range g {
-							g[j] = 0xEE
-						}
-					}
-					for i, rec := range recs {
-						if string(rec.Payload) != snaps[i] {
-							t.Errorf("rank %d: append to a sibling corrupted record %d", rank, i)
-						}
-					}
-					// Pass 3: scribble each payload in place with a per-record
-					// fill, then verify no scribble bled into a neighbor.
-					for i := range recs {
-						fill := byte(i)
-						for j := range recs[i].Payload {
-							recs[i].Payload[j] = fill
-						}
-					}
-					for i, rec := range recs {
-						for j, b := range rec.Payload {
-							if b != byte(i) {
-								t.Fatalf("rank %d: record %d byte %d = %#x, want fill %#x (arena overlap)",
-									rank, i, j, b, byte(i))
-							}
-						}
+					// Scribble the payload itself in place.
+					for j := range rec.Payload {
+						rec.Payload[j] = 0xEE
 					}
 				})
 				for rank, n := range got {
 					if n != p*msgs {
 						t.Errorf("rank %d received %d records, want %d", rank, n, p*msgs)
+					}
+					for from := 0; from < p; from++ {
+						for i := 0; i < msgs; i++ {
+							want := fmt.Sprintf("%d->%d#%d", from, rank, i)
+							if c := seen[rank][want]; c != 1 {
+								t.Errorf("rank %d: record %q arrived %d times, want once (corrupted by a sibling's mutation?)",
+									rank, want, c)
+							}
+						}
 					}
 				}
 			})
@@ -155,43 +147,74 @@ func TestDeliveredRecordsIsolatedUnderMutation(t *testing.T) {
 	}
 }
 
-// TestArenaRecyclesAcrossPolls pins the double-buffered epoch contract on
-// the loopback path: records from poll N stay intact through poll N+1 and
-// their arena storage is reused by poll N+2 (the allocation win), while
-// poll N+1's records live in the other arena.
-func TestArenaRecyclesAcrossPolls(t *testing.T) {
+// TestSelfEnvelopeSwapsAcrossPolls pins the self-envelope's take-and-swap:
+// Poll drains one loopback buffer while self-sends go to the other, so
+// consecutive polls decode from alternating buffers and poll N+2 reuses poll
+// N's storage — steady-state loopback allocates nothing.
+func TestSelfEnvelopeSwapsAcrossPolls(t *testing.T) {
 	m := rt.NewMachine(1)
 	m.Run(func(r *rt.Rank) {
 		box := New(r, NewDirect(1), nil)
-		poll := func(tag uint32) Record {
-			box.SendTagged(0, tag, bytes.Repeat([]byte{byte(tag)}, 32))
-			recs := box.Poll()
-			if len(recs) != 1 {
-				t.Fatalf("poll %d: got %d records, want 1", tag, len(recs))
+		poll := func(tag uint32) *byte {
+			want := bytes.Repeat([]byte{byte(tag)}, 32)
+			box.SendTagged(0, tag, want)
+			var at *byte
+			n := box.Poll(func(rec Record) {
+				if rec.Tag != tag || !bytes.Equal(rec.Payload, want) {
+					t.Errorf("poll %d: got tag %d payload %x", tag, rec.Tag, rec.Payload)
+				}
+				at = &rec.Payload[0]
+			})
+			if n != 1 {
+				t.Fatalf("poll %d: handled %d records, want 1", tag, n)
 			}
-			return recs[0]
+			return at
 		}
-		r1 := poll(1)
-		p1 := &r1.Payload[0]
-		s1 := string(r1.Payload)
-		r2 := poll(2)
-		p2 := &r2.Payload[0]
-		// Epoch survival: r1's bytes must still be intact after poll 2.
-		if string(r1.Payload) != s1 {
-			t.Fatal("poll-1 record corrupted by poll 2 (epoch contract broken)")
-		}
+		p1, p2, p3 := poll(1), poll(2), poll(3)
 		if p1 == p2 {
-			t.Fatal("consecutive polls share an arena: records would not survive one poll")
+			t.Fatal("consecutive polls decoded from one self-envelope buffer")
 		}
-		r3 := poll(3)
-		p3 := &r3.Payload[0]
-		// Recycling: poll 3 must reuse poll 1's arena storage, or the plane
-		// still allocates per epoch.
 		if p1 != p3 {
-			t.Fatal("poll-3 record not carved from poll-1's recycled arena")
+			t.Fatal("poll 3 did not reuse poll 1's self-envelope buffer")
 		}
-		if p2 == p3 {
-			t.Fatal("polls 2 and 3 share an arena")
+	})
+}
+
+// TestSelfSendDuringPollDeliveredNextPoll: a record a handler sends to its
+// own rank mid-Poll lands in the swapped-in self-envelope — never delivered
+// by the Poll that is running (which would let one handler call feed itself
+// without bound), delivered exactly once by the next, and counted pending in
+// between.
+func TestSelfSendDuringPollDeliveredNextPoll(t *testing.T) {
+	m := rt.NewMachine(1)
+	m.Run(func(r *rt.Rank) {
+		det := termination.New(r)
+		box := New(r, NewDirect(1), det)
+		box.Send(0, []byte("seed"))
+		var got []string
+		handle := func(rec Record) {
+			got = append(got, string(rec.Payload))
+			if string(rec.Payload) == "seed" {
+				box.Send(0, []byte("echo"))
+			}
+		}
+		if n := box.Poll(handle); n != 1 || len(got) != 1 || got[0] != "seed" {
+			t.Fatalf("first poll handled %d records %q, want just the seed", n, got)
+		}
+		if p := box.PendingRecords(); p != 1 || box.Idle() {
+			t.Fatalf("after first poll: pending=%d idle=%v, want the echo pending", p, box.Idle())
+		}
+		if det.Sent() != 2 || det.Received() != 1 {
+			t.Fatalf("detector S=%d R=%d, want 2/1 while the echo waits", det.Sent(), det.Received())
+		}
+		if n := box.Poll(handle); n != 1 || len(got) != 2 || got[1] != "echo" {
+			t.Fatalf("second poll handled %d records %q, want the echo once", n, got)
+		}
+		if n := box.Poll(handle); n != 0 || box.PendingRecords() != 0 || !box.Idle() {
+			t.Fatalf("third poll handled %d records, pending %d: echo delivered twice?", n, box.PendingRecords())
+		}
+		if det.Sent() != 2 || det.Received() != 2 {
+			t.Fatalf("detector S=%d R=%d, want 2/2", det.Sent(), det.Received())
 		}
 	})
 }
@@ -217,7 +240,7 @@ func TestEnvelopePoolRoundTrip(t *testing.T) {
 			for i := 0; i < 20 && sent < msgs; i, sent = i+1, sent+1 {
 				box.Send(other, bytes.Repeat([]byte{byte(sent)}, 48))
 			}
-			box.Poll()
+			box.Poll(discard)
 			box.FlushAll()
 			if sent == msgs && det.Pump(box.Idle()) {
 				break
@@ -290,7 +313,7 @@ func TestRecyclingDisabledOnceTransportInstalled(t *testing.T) {
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			box.Poll()
+			box.Poll(discard)
 			box.FlushAll()
 			if det.Pump(box.Idle()) {
 				break
@@ -331,7 +354,7 @@ func TestReliableRecyclesAggregationBuffersUnderTransport(t *testing.T) {
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for {
-			box.Poll()
+			box.Poll(discard)
 			box.FlushAll()
 			if det.Pump(box.Idle()) {
 				break

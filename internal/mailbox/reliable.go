@@ -127,8 +127,8 @@ type reliable struct {
 	ackPool [][]byte
 
 	// deliverScratch is the reusable accepted-envelope slice returned by
-	// poll; Box.Poll decodes (copying payload bytes into its arena) before
-	// the next poll reuses it.
+	// poll; Box.Poll decodes every envelope in it (handing records to its
+	// handler in place) before the next poll reuses it.
 	deliverScratch [][]byte
 }
 

@@ -37,9 +37,9 @@ func reliableExchange(t *testing.T, p, msgs int, topo Topology, plan *faults.Pla
 		}
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			for _, rec := range box.Poll() {
+			box.Poll(func(rec Record) {
 				got[r.Rank()] = append(got[r.Rank()], string(rec.Payload))
-			}
+			})
 			box.FlushAll()
 			if det.Pump(box.Idle()) {
 				break
@@ -157,7 +157,7 @@ func TestUnreliableBoxLosesRecordsUnderDrops(t *testing.T) {
 		box.FlushAll()
 		deadline := time.Now().Add(time.Second)
 		for time.Now().Before(deadline) {
-			recv += len(box.Poll())
+			recv += box.Poll(discard)
 		}
 		lost[r.Rank()] = recv < (p-1)*20
 	})

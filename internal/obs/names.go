@@ -63,11 +63,6 @@ const (
 	MBPoolRecycledBytes = "mailbox.pool_recycled_bytes"
 	MBPoolFree          = "mailbox.pool_free"
 
-	// MBArenaPollBytes is the histogram of delivery-arena occupancy at each
-	// Poll handoff: the bytes of record payloads delivered in one poll epoch,
-	// all carved from one grow-only arena instead of per-record allocations.
-	MBArenaPollBytes = "mailbox.arena_poll_bytes"
-
 	// Reliable-delivery counters (mailbox.WithReliable): the recovery half
 	// of the fault plane. Retransmits counts envelope re-sends after an RTO
 	// expiry; the *Dropped counters classify inbound envelopes discarded by
@@ -102,6 +97,9 @@ const (
 	CoreQueued        = "core.queued"
 	CoreExecuted      = "core.executed"
 	CoreForwarded     = "core.forwarded"
+	// CoreLocal counts pushes whose target vertex this rank masters: they
+	// are pre-visited in place and never enter the mailbox.
+	CoreLocal = "core.local"
 
 	// CoreQueueDepth is the histogram of local priority-queue depth sampled
 	// once per visit batch.
